@@ -399,6 +399,34 @@ func BenchmarkSimQueueHandoff(b *testing.B) {
 	k.Stop()
 }
 
+// BenchmarkSimProcPingPong is the pure cross-process switch cost: two
+// processes hand a token back and forth through two queues at one virtual
+// instant, so every op is two process resumes and no Sleep. No op resumes
+// the process that parked, which keeps the self-resume fast path out.
+func BenchmarkSimProcPingPong(b *testing.B) {
+	k := sim.NewKernel()
+	ping := sim.NewQueue[int](k, "ping", 1)
+	pong := sim.NewQueue[int](k, "pong", 1)
+	k.Go("ping", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Push(p, i)
+			pong.Pop(p)
+		}
+		ping.Close()
+	})
+	k.Go("pong", func(p *sim.Proc) {
+		for {
+			v, ok := ping.Pop(p)
+			if !ok {
+				return
+			}
+			pong.Push(p, v)
+		}
+	})
+	b.ResetTimer()
+	k.Run(sim.Forever)
+}
+
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := stats.NewHistogram()
 	b.ReportAllocs()

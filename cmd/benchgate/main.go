@@ -35,7 +35,8 @@
 // -update rewrites the baseline from the parsed results instead of
 // comparing (see EXPERIMENTS.md for when that is legitimate). Min floors
 // are authored, not measured, so -update carries them over from the old
-// baseline unchanged.
+// baseline unchanged. Results and baseline both record the measuring
+// host's core count as host_cpus, since sim-wall-x scales with it.
 package main
 
 import (
@@ -45,6 +46,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,7 +67,10 @@ type Bench struct {
 // File is the BENCH_results.json / BENCH_baseline.json schema.
 type File struct {
 	// Note documents how the numbers were produced.
-	Note       string            `json:"note,omitempty"`
+	Note string `json:"note,omitempty"`
+	// HostCPUs is the core count of the host that measured the numbers.
+	// sim-wall-x, and so every floor on it, depends on it.
+	HostCPUs   int               `json:"host_cpus,omitempty"`
 	Benchmarks map[string]*Bench `json:"benchmarks"`
 }
 
@@ -97,6 +102,7 @@ func main() {
 	if len(res.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found in input"))
 	}
+	res.HostCPUs = runtime.NumCPU()
 
 	if *out != "" {
 		if err := writeJSON(*out, res); err != nil {

@@ -1,19 +1,19 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel with goroutine-backed processes and a zero-handoff callback fast
+// kernel with coroutine-backed processes and a zero-handoff callback fast
 // path.
 //
 // The kernel maintains virtual time at nanosecond resolution. Exactly one
-// process (or event callback) executes at any instant. Control is passed
-// baton-style: the goroutine that finishes an event dispatches the next one
-// itself, so callback events (timers, completions scheduled with At/After/
-// AfterCall) run inline with no goroutine handoff at all, and resuming a
-// process costs a single buffered-channel send instead of a round trip
-// through a central dispatch loop. Run only seeds the chain and waits for
-// it to end. Event records are pooled on a per-kernel free list, events
-// scheduled for the current instant go through a FIFO ready ring that
-// bypasses the time-ordered heap, and simulated code is still written in
-// ordinary blocking style (Sleep, Lock, Push/Pop on queues) without data
-// races and without real wall-clock delays.
+// process (or event callback) executes at any instant. Run is a single
+// dispatch loop on the caller's goroutine: it runs callback events (timers,
+// completions scheduled with At/After/AtCall/AfterCall) inline, and resumes
+// a process by switching straight into its iter.Pull coroutine, so the Go
+// scheduler never takes part in a handoff. A process that parks when the
+// next event is its own wake-up (the common Sleep case) takes that event in
+// place and keeps running without any switch. Event records are pooled on a
+// per-kernel free list, events scheduled for the current instant go through
+// a FIFO ready ring that bypasses the time-ordered heap, and simulated code
+// is still written in ordinary blocking style (Sleep, Lock, Push/Pop on
+// queues) without data races and without real wall-clock delays.
 //
 // Events scheduled for the same virtual time fire in schedule order, which
 // makes every run bit-for-bit reproducible for a given seed.
@@ -86,20 +86,34 @@ type Kernel struct {
 
 	free []*event // event record free list
 
-	endRun     chan struct{} // last baton holder -> Run: "this run is over"
-	running    *Proc
-	live       int // spawned processes that have not finished
-	stopped    bool
-	inRun      bool
-	until      Time // horizon of the current Run
-	runPanic   any  // panic forwarded from a baton holder to Run
-	nextID     int64
-	dispatched uint64
+	running *Proc
+	idle    []*runner // parked coroutines free for the next Go
+	live    int       // spawned processes that have not finished
+	stopped bool
+	inRun   bool
+	until   Time // horizon of the current Run
+	nextID  int64
+	counts  Counters
+}
+
+// Counters splits the kernel's dispatched events by what each one did.
+// The four fields always sum to Dispatched.
+type Counters struct {
+	// Resumes counts process resumes through the dispatch loop, each a
+	// coroutine switch.
+	Resumes uint64
+	// SelfResumes counts fast-path resumes: a parking process whose own
+	// wake-up was the next event took it in place, with no switch.
+	SelfResumes uint64
+	// Callbacks counts callback events (At, After, AtCall, AfterCall).
+	Callbacks uint64
+	// Stale counts wake-ups for processes that had already finished.
+	Stale uint64
 }
 
 // NewKernel returns a fresh kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{endRun: make(chan struct{}, 1), until: Forever}
+	return &Kernel{until: Forever}
 }
 
 // Now returns the current virtual time.
@@ -112,7 +126,13 @@ func (k *Kernel) Live() int { return k.live }
 func (k *Kernel) Pending() int { return len(k.events) + k.ready.len() }
 
 // Dispatched returns the total number of events executed so far.
-func (k *Kernel) Dispatched() uint64 { return k.dispatched }
+func (k *Kernel) Dispatched() uint64 {
+	c := k.counts
+	return c.Resumes + c.SelfResumes + c.Callbacks + c.Stale
+}
+
+// Counters returns the dispatched events so far, split by kind.
+func (k *Kernel) Counters() Counters { return k.counts }
 
 // Stop makes the current or next Run call return as soon as the event in
 // flight completes.
@@ -184,65 +204,62 @@ func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
 	k.enqueue(ev)
 }
 
-// Go spawns a new simulated process that executes fn. The process starts at
-// the current virtual time, after the currently running event yields. Go may
-// be called both from outside Run (to set up the world) and from running
-// processes.
-func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	k.nextID++
-	p := &Proc{k: k, id: k.nextID, name: name, wake: make(chan struct{}, 1)}
-	k.live++
-	go func() {
-		<-p.wake // wait for first dispatch
-		fn(p)
-		p.done = true
-		k.live--
-		k.running = nil
-		k.passBaton()
-	}()
-	k.schedule(k.now, p, nil)
-	return p
-}
-
 // Run executes events until the queue drains, Stop is called, or virtual
 // time would exceed `until` (use Forever for no limit). It returns the
-// number of events dispatched by this call. Run must not be re-entered.
+// number of events dispatched by this call. Run must not be re-entered. A
+// panic raised by a callback or a process surfaces from Run.
 func (k *Kernel) Run(until Time) uint64 {
 	if k.inRun {
 		panic("sim: Kernel.Run re-entered")
 	}
 	k.inRun = true
-	defer func() { k.inRun = false }()
+	defer func() { k.inRun, k.running = false, nil }()
 	k.until = until
-	start := k.dispatched
-	if k.dispatchNext() {
-		// The baton was handed to a process goroutine; wait for the last
-		// holder to report the run complete.
-		<-k.endRun
-		if r := k.runPanic; r != nil {
-			k.runPanic = nil
-			panic(r)
-		}
-	}
+	start := k.Dispatched()
+	k.dispatch()
 	if until != Forever && k.now < until {
 		k.now = until
 	}
-	return k.dispatched - start
+	return k.Dispatched() - start
 }
 
-// passBaton continues dispatch after the caller is done executing; if the
-// run is over it returns the baton to Run instead. A panic raised by a
-// dispatched event is captured and re-raised from Run, preserving the old
-// central-loop contract that event panics surface at Run's caller.
-func (k *Kernel) passBaton() {
-	defer func() {
-		if r := recover(); r != nil {
-			k.runPanic = r
-			k.endRun <- struct{}{}
+// dispatch executes events in (t, seq) order until runnable reports the
+// run over. Callbacks run inline; a process runs on its coroutine until it
+// parks or returns, and control then comes back here.
+func (k *Kernel) dispatch() {
+	for {
+		ev, fromReady := k.runnable()
+		if ev == nil {
+			return
 		}
-	}()
-	if !k.dispatchNext() {
-		k.endRun <- struct{}{}
+		k.take(ev, fromReady)
+		if p := ev.proc; p != nil {
+			k.recycle(ev)
+			if p.done {
+				k.counts.Stale++
+				continue
+			}
+			k.counts.Resumes++
+			if p.r == nil {
+				k.start(p)
+			}
+			k.running = p
+			p.r.next()
+			k.running = nil
+			continue
+		}
+		k.counts.Callbacks++
+		if ev.fnA != nil {
+			fn, arg := ev.fnA, ev.arg
+			k.recycle(ev)
+			fn(arg)
+			continue
+		}
+		fn := ev.fn
+		k.recycle(ev)
+		if fn != nil {
+			fn()
+		}
 	}
 }
 
@@ -265,51 +282,30 @@ func (k *Kernel) peekEvent() (ev *event, fromReady bool) {
 	return nil, false
 }
 
-// dispatchNext drains and executes events until either the baton is handed
-// to a process goroutine (returns true) or the run is over — queue empty,
-// Stop called, or next event past the Run horizon (returns false).
-// Callback events execute inline on the calling goroutine.
-func (k *Kernel) dispatchNext() bool {
-	for !k.stopped {
-		ev, fromReady := k.peekEvent()
-		if ev == nil {
-			return false
-		}
-		if k.until != Forever && ev.t > k.until {
-			return false
-		}
-		if fromReady {
-			k.ready.pop()
-		} else {
-			k.heapPop()
-		}
-		if ev.t > k.now {
-			k.now = ev.t
-		}
-		k.dispatched++
-		if ev.proc != nil {
-			p := ev.proc
-			k.recycle(ev)
-			if p.done {
-				continue // stale wakeup for a finished process
-			}
-			k.running = p
-			p.wake <- struct{}{}
-			return true
-		}
-		if ev.fnA != nil {
-			fn, arg := ev.fnA, ev.arg
-			k.recycle(ev)
-			fn(arg)
-			continue
-		}
-		fn := ev.fn
-		k.recycle(ev)
-		if fn != nil {
-			fn()
-		}
+// runnable returns the event the current Run dispatches next, without
+// removing it, or nil when the run is over: Stop was called, nothing is
+// queued, or the next event lies past the Run horizon.
+func (k *Kernel) runnable() (ev *event, fromReady bool) {
+	if k.stopped {
+		return nil, false
 	}
-	return false
+	ev, fromReady = k.peekEvent()
+	if ev == nil || (k.until != Forever && ev.t > k.until) {
+		return nil, false
+	}
+	return ev, fromReady
+}
+
+// take removes ev, just returned by runnable, and advances the clock to it.
+func (k *Kernel) take(ev *event, fromReady bool) {
+	if fromReady {
+		k.ready.pop()
+	} else {
+		k.heapPop()
+	}
+	if ev.t > k.now {
+		k.now = ev.t
+	}
 }
 
 // Running returns the currently executing process, or nil when the kernel is
