@@ -1,4 +1,4 @@
-// Package analysis assembles the afvet lint suite: seven project-specific
+// Package analysis assembles the afvet lint suite: six project-specific
 // analyzers that reject, at lint time, the classes of bug the golden-hash
 // and -race suites can only catch after the fact. The analyzers and the
 // invariants they enforce are specified in DESIGN.md §9 and §14; the
@@ -15,7 +15,6 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/logpath"
 	"repro/internal/analysis/poolsafe"
-	"repro/internal/analysis/shardsafe"
 )
 
 // All returns the afvet analyzers in stable order.
@@ -27,7 +26,6 @@ func All() []*driver.Analyzer {
 		lockorder.Analyzer,
 		logpath.Analyzer,
 		poolsafe.Analyzer,
-		shardsafe.Analyzer,
 	}
 }
 

@@ -57,10 +57,10 @@ type Pass struct {
 	Dir     string
 
 	// Summaries is the cross-package fact table (facts.go): transitive
-	// lock-acquisition, pool-release/retention, and global-write facts
-	// plus call-graph edges for every module-internal function in the
-	// dependency closure. Nil only in hand-constructed test passes; the
-	// accessors on Summaries are nil-safe.
+	// lock-acquisition and pool-release/retention facts plus call-graph
+	// edges for every module-internal function in the dependency
+	// closure. Nil only in hand-constructed test passes; the accessors on
+	// Summaries are nil-safe.
 	Summaries *Summaries
 
 	diags *[]Diagnostic

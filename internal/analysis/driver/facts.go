@@ -4,8 +4,8 @@ package driver
 // summaries ("facts"), computed bottom-up over `go list -deps` order so
 // that when a package is summarized every module-internal dependency is
 // already final. Analyzers consume the facts through Pass.Summaries to
-// propagate lock-held, pooled-alias, and global-write information through
-// cross-package calls instead of stopping at package boundaries
+// propagate lock-held and pooled-alias information through cross-package
+// calls instead of stopping at package boundaries
 // (DESIGN.md §14).
 //
 // The model is deliberately flow-insensitive at function granularity:
@@ -88,11 +88,6 @@ type FuncFacts struct {
 	// into a location that outlives the call (field, slice/map element,
 	// package-level variable) — free-list fields excluded.
 	RetainsParams []int `json:"retains,omitempty"`
-	// WritesGlobals lists qualified package-level variables
-	// ("path.Var") the function may write, directly or transitively.
-	// Writes made by func init() are excluded: initialization happens
-	// before any simulated execution starts.
-	WritesGlobals []string `json:"writes_globals,omitempty"`
 	// Calls lists the module-internal functions the function statically
 	// calls (the call-graph edges the transitive facts were closed
 	// over).
@@ -236,11 +231,6 @@ func ComputeFacts(pkg *Package, s *Summaries) *PkgFacts {
 						changed = true
 					}
 				}
-				for _, g := range cf.WritesGlobals {
-					if addStr(&f.WritesGlobals, g) {
-						changed = true
-					}
-				}
 				for _, idx := range cf.ReleasesParams {
 					if p, ok := cs.argOf[idx]; ok && addInt(&f.ReleasesParams, p) {
 						changed = true
@@ -259,7 +249,6 @@ func ComputeFacts(pkg *Package, s *Summaries) *PkgFacts {
 		sort.Ints(f.Acquires)
 		sort.Ints(f.ReleasesParams)
 		sort.Ints(f.RetainsParams)
-		sort.Strings(f.WritesGlobals)
 		sortIDs(f.Calls)
 		pf.Funcs[id] = f
 	}
@@ -362,7 +351,6 @@ func (fc *factsCollector) seed(fd *ast.FuncDecl, fn *types.Func) *funcSeed {
 	sd := &funcSeed{}
 	info := fc.pkg.TypesInfo
 	sig := fn.Type().(*types.Signature)
-	isInit := fd.Recv == nil && fd.Name.Name == "init"
 
 	// paramIdx resolves a bare identifier to the function's parameter
 	// position (RecvIdx for the receiver), or (0, false).
@@ -430,29 +418,18 @@ func (fc *factsCollector) seed(fd *ast.FuncDecl, fn *types.Func) *funcSeed {
 				}
 			}
 		case *ast.AssignStmt:
-			fc.seedAssign(n, sd, paramIdx, isInit)
-		case *ast.IncDecStmt:
-			if !isInit {
-				if g := globalWritten(info, n.X); g != "" {
-					addStr(&sd.facts.WritesGlobals, g)
-				}
-			}
+			fc.seedAssign(n, sd, paramIdx)
 		}
 		return true
 	})
 	return sd
 }
 
-// seedAssign harvests global writes, free-list releases, and param
-// retention from one assignment.
-func (fc *factsCollector) seedAssign(as *ast.AssignStmt, sd *funcSeed, paramIdx func(ast.Expr) (int, bool), isInit bool) {
+// seedAssign harvests free-list releases and param retention from one
+// assignment.
+func (fc *factsCollector) seedAssign(as *ast.AssignStmt, sd *funcSeed, paramIdx func(ast.Expr) (int, bool)) {
 	info := fc.pkg.TypesInfo
 	for i, lhs := range as.Lhs {
-		if !isInit {
-			if g := globalWritten(info, lhs); g != "" {
-				addStr(&sd.facts.WritesGlobals, g)
-			}
-		}
 		var rhs ast.Expr
 		if i < len(as.Rhs) {
 			rhs = as.Rhs[i]
@@ -492,42 +469,6 @@ func (fc *factsCollector) seedAssign(as *ast.AssignStmt, sd *funcSeed, paramIdx 
 					}
 				}
 			}
-		}
-	}
-}
-
-// GlobalWritten returns the qualified name ("path.Var") of the
-// package-level variable the assignment target lhs writes (directly or
-// through a selector/index chain rooted at it), or "". Exported for the
-// shardsafe analyzer, which applies it only inside shard execution
-// contexts; the summary layer applies it to every function.
-func GlobalWritten(info *types.Info, lhs ast.Expr) string {
-	return globalWritten(info, lhs)
-}
-
-// globalWritten returns the qualified name of the package-level variable
-// the assignment target lhs writes (directly or through a selector/index
-// chain rooted at it), or "".
-func globalWritten(info *types.Info, lhs ast.Expr) string {
-	for {
-		switch e := ast.Unparen(lhs).(type) {
-		case *ast.SelectorExpr:
-			// A qualified package-level var (pkg.Var) resolves via Sel.
-			if v, ok := info.Uses[e.Sel].(*types.Var); ok && isGlobalVar(v) {
-				return v.Pkg().Path() + "." + v.Name()
-			}
-			lhs = e.X
-		case *ast.IndexExpr:
-			lhs = e.X
-		case *ast.StarExpr:
-			lhs = e.X
-		case *ast.Ident:
-			if v, ok := info.Uses[e].(*types.Var); ok && isGlobalVar(v) {
-				return v.Pkg().Path() + "." + v.Name()
-			}
-			return ""
-		default:
-			return ""
 		}
 	}
 }
@@ -610,16 +551,6 @@ func recvPkgName(t types.Type) string {
 }
 
 func addInt(s *[]int, v int) bool {
-	for _, x := range *s {
-		if x == v {
-			return false
-		}
-	}
-	*s = append(*s, v)
-	return true
-}
-
-func addStr(s *[]string, v string) bool {
 	for _, x := range *s {
 		if x == v {
 			return false

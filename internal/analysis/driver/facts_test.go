@@ -40,7 +40,6 @@ func TestSummariesCrossPackageFacts(t *testing.T) {
 		want FuncFacts
 	}{
 		// Primitive facts in the dependency.
-		{fixtureB + ".Bump", FuncFacts{WritesGlobals: []string{fixtureB + ".Counter"}}},
 		{fixtureB + ".(*Pool).Put", FuncFacts{ReleasesParams: []int{0}}},
 		{fixtureB + ".(*Pool).Keep", FuncFacts{RetainsParams: []int{0}}},
 		// Lock() is consumed as an acquisition fact, not a call edge;
@@ -54,12 +53,10 @@ func TestSummariesCrossPackageFacts(t *testing.T) {
 		}},
 		// Facts inherited across the package boundary.
 		{fixtureA + ".CallBump", FuncFacts{
-			WritesGlobals: []string{fixtureB + ".Counter"},
-			Calls:         []FuncID{FuncID(fixtureB + ".Bump")},
+			Calls: []FuncID{FuncID(fixtureB + ".Bump")},
 		}},
 		{fixtureA + ".CallBumpTwice", FuncFacts{
-			WritesGlobals: []string{fixtureB + ".Counter"},
-			Calls:         []FuncID{FuncID(fixtureA + ".CallBump")},
+			Calls: []FuncID{FuncID(fixtureA + ".CallBump")},
 		}},
 		{fixtureA + ".HandOff", FuncFacts{
 			ReleasesParams: []int{1},
@@ -134,7 +131,7 @@ func TestFactsCacheRoundTrip(t *testing.T) {
 		Path: "example.test/p",
 		Hash: "0123456789abcdef",
 		Funcs: map[FuncID]*FuncFacts{
-			"example.test/p.F": {Acquires: []int{LockKV}, WritesGlobals: []string{"example.test/p.G"}},
+			"example.test/p.F": {Acquires: []int{LockKV}, RetainsParams: []int{0}},
 		},
 	}
 	storeFacts(pf)

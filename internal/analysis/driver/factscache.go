@@ -25,7 +25,7 @@ import (
 
 // factsVersion invalidates every persisted summary when the fact schema
 // or its computation changes.
-const factsVersion = "afvet-facts-v1"
+const factsVersion = "afvet-facts-v2"
 
 // factsCacheDir returns the summary cache directory, creating it.
 // Resolution order: $AFVET_FACTS_CACHE, the user cache dir, TempDir.

@@ -26,9 +26,9 @@ type Package struct {
 	TypesInfo *types.Info
 
 	// Summaries is the cross-package fact table shared by every package
-	// of the same Load: per-function lock-acquisition, pool-release,
-	// retention, and global-write facts, closed transitively over the
-	// module call graph (facts.go).
+	// of the same Load: per-function lock-acquisition, pool-release and
+	// retention facts, closed transitively over the module call graph
+	// (facts.go).
 	Summaries *Summaries
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// CallBump transitively writes b.Counter.
+// CallBump calls across the package boundary.
 func CallBump() {
 	b.Bump()
 }

@@ -1,7 +1,7 @@
 // Package b is the dependency side of the driver summary-layer fixture:
-// it defines the primitive facts (a global write, a lock acquisition, a
-// pool release, a retention) that package a must observe transitively
-// through the summary table.
+// it defines the primitive facts (a lock acquisition, a pool release, a
+// retention) that package a must observe transitively through the
+// summary table, plus a plain callee for call-graph edges.
 package b
 
 import (

@@ -41,14 +41,6 @@ type Params struct {
 	ConnCPUFactor float64
 }
 
-// LookaheadBound returns the conservative lookahead the fabric guarantees
-// a sharded simulation: the minimum virtual time any message needs to
-// cross the network. No delivery can undercut the propagation delay —
-// wire serialization, Nagle, and chaos extra delay only add to it — so a
-// per-node shard may run a full propagation ahead of its peers without
-// waiting (sim.ShardGroup's synchronization contract).
-func (p Params) LookaheadBound() sim.Time { return p.Propagation }
-
 // DefaultParams returns 10 GbE datacenter parameters.
 func DefaultParams() Params {
 	return Params{

@@ -272,11 +272,11 @@ func TestEndpointAccessors(t *testing.T) {
 	_ = k
 }
 
-// TestLookaheadBoundIsConservative pins the contract a sharded simulation
-// leans on: no delivery — any size, Nagle on or off, chaos delay set or
-// not — ever undercuts Params.LookaheadBound. The bound must stay a true
-// minimum over everything the fabric can do to a message.
-func TestLookaheadBoundIsConservative(t *testing.T) {
+// TestDeliveryNeverUndercutsPropagation pins the fabric's latency floor:
+// no delivery — any size, Nagle on or off, chaos delay set or not — arrives
+// sooner than Params.Propagation after it was sent. Wire serialization,
+// Nagle and chaos delay may only add to the propagation delay.
+func TestDeliveryNeverUndercutsPropagation(t *testing.T) {
 	configs := []struct {
 		name       string
 		noDelay    bool
@@ -291,9 +291,9 @@ func TestLookaheadBoundIsConservative(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		k, net, na, nb := testWorld()
-		bound := net.Params.LookaheadBound()
-		if bound <= 0 {
-			t.Fatalf("%s: lookahead bound %v not positive", cfg.name, bound)
+		prop := net.Params.Propagation
+		if prop <= 0 {
+			t.Fatalf("%s: propagation delay %v not positive", cfg.name, prop)
 		}
 		net.SetChaos(0, cfg.extraDelay)
 		src := net.NewEndpoint("src", na, cfg.noDelay)
@@ -302,8 +302,8 @@ func TestLookaheadBoundIsConservative(t *testing.T) {
 		dst.SetHandler(func(p *sim.Proc, m *Message) { sent, got = m.SentAt, p.Now() })
 		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, cfg.size, 0, nil) })
 		k.Run(sim.Forever)
-		if lat := got - sent; lat < bound {
-			t.Fatalf("%s: delivered %v after send, below the lookahead bound %v", cfg.name, lat, bound)
+		if lat := got - sent; lat < prop {
+			t.Fatalf("%s: delivered %v after send, below the propagation delay %v", cfg.name, lat, prop)
 		}
 	}
 }

@@ -196,8 +196,7 @@ func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 }
 
 // AtCall schedules fn(arg) to run at absolute time t. It is the
-// allocation-free variant of At, and the injection point the sharded
-// executive uses to deliver merged cross-shard events.
+// allocation-free variant of At.
 func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
 	ev := k.newEvent(t)
 	ev.fnA, ev.arg = fn, arg

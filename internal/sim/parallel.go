@@ -1,15 +1,15 @@
 package sim
 
-// The bounded worker pool under every parallel execution path: the sharded
-// kernel's window barriers and the figure/qa harnesses' independent-point
-// fan-out. The pool is the ONLY place the simulator meets host parallelism,
-// and it is built so host scheduling cannot leak into simulated results:
-// jobs are claimed from a single atomic cursor, every job writes only state
-// it owns (its shard, its point's result slot), and the barrier returns
-// only after every job finished. Which worker ran which job — and in what
-// wall-clock order — is unobservable to the model; GOMAXPROCS=1 and a
-// 64-core box produce bit-identical output, which the differential
-// determinism harness (figures, qa) verifies on every run.
+// The bounded worker pool behind point fan-out: the figure and qa harnesses
+// run independent simulation points (each with its own kernel and seed) on
+// it. The pool is the ONLY place the simulator meets host parallelism, and
+// it is built so host scheduling cannot leak into simulated results: jobs
+// are claimed from a single atomic cursor, every job writes only state it
+// owns (its point's result slot), and the barrier returns only after every
+// job finished. Which worker ran which job — and in what wall-clock order —
+// is unobservable to the model; GOMAXPROCS=1 and a 64-core box produce
+// bit-identical output, which the differential determinism harness
+// (figures, qa) verifies on every run.
 
 import (
 	"runtime"     //afvet:allow determinism GOMAXPROCS sizes the worker pool; it never reaches simulated state

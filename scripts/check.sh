@@ -4,7 +4,7 @@
 #   fmt        gofmt -l must be clean
 #   lint       static checks: go vet plus afvet, the project's own
 #              multichecker (determinism, lockorder, poolsafe, errcheck,
-#              logpath — see DESIGN.md §9)
+#              logpath, hotalloc — see DESIGN.md §9)
 #   build      every package compiles
 #   test       full suite — unit, integration, recovery/chaos, determinism
 #              (shuffled, to catch test-order dependence)
