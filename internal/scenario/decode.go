@@ -3,17 +3,21 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// Parse decodes a scenario file. The format is JSON plus two conveniences:
-// `//` and `#` line comments (outside strings) and trailing commas in
-// objects and arrays. The decoder is hand rolled and dependency free; it
-// never panics on arbitrary input and reports unknown fields by path so a
-// typo'd knob fails loudly instead of silently running the default.
+// Parse decodes and validates a scenario file. The format is JSON plus two
+// conveniences: `//` and `#` line comments (outside strings) and one
+// trailing comma before a closing `}` or `]`. Keys are the json struct tags
+// of the spec types and match exactly (case included); an unknown or
+// duplicate key, or a value of the wrong type, is an error naming its path,
+// so a typo'd knob fails loudly instead of silently running the default.
+// Parse never panics on arbitrary input.
 func Parse(data []byte) (*Scenario, error) {
 	p := &parser{b: stripComments(data)}
 	v, err := p.parseValue(0)
@@ -28,9 +32,16 @@ func Parse(data []byte) (*Scenario, error) {
 	if !ok {
 		return nil, fmt.Errorf("scenario: top level must be an object")
 	}
-	sc, err := fromJSON(o)
-	if err != nil {
+	sc := &Scenario{Seed: 1}
+	if err := fillStruct(reflect.ValueOf(sc).Elem(), scenarioFields, o); err != nil {
 		return nil, err
+	}
+	for i := range sc.Tenants { // an absent or zero size weight means 1
+		for j := range sc.Tenants[i].Mix.Sizes {
+			if w := &sc.Tenants[i].Mix.Sizes[j].Weight; *w == 0 {
+				*w = 1
+			}
+		}
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -74,9 +85,8 @@ func stripComments(data []byte) []byte {
 	return out
 }
 
-// jobj is a parsed JSON object that remembers key order, so every walk over
-// it (unknown-field reporting, re-encoding) is deterministic without
-// ranging over the map.
+// jobj is a parsed JSON object that remembers key order, so unknown-field
+// reporting is deterministic without ranging over the map.
 type jobj struct {
 	keys []string
 	vals map[string]any
@@ -92,10 +102,7 @@ type parser struct {
 func (p *parser) skipWS() {
 	for p.i < len(p.b) {
 		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r', ',':
-			// Commas are treated as whitespace between elements; the
-			// element grammar below re-checks structure, and this is what
-			// buys trailing-comma tolerance.
+		case ' ', '\t', '\n', '\r':
 			p.i++
 		default:
 			return
@@ -143,17 +150,36 @@ func (p *parser) parseLit(lit string, v any) (any, error) {
 	return v, nil
 }
 
+// elem moves to the next element of an object or array, past exactly one
+// comma unless it is the first. It reports whether the container closed
+// instead; one trailing comma may precede end.
+func (p *parser) elem(end byte, first bool) (bool, error) {
+	p.skipWS()
+	if !first {
+		if p.i >= len(p.b) || (p.b[p.i] != ',' && p.b[p.i] != end) {
+			return false, p.errf("expected ',' or '%c'", end)
+		}
+		if p.b[p.i] == ',' {
+			p.i++
+			p.skipWS()
+		}
+	}
+	if p.i < len(p.b) && p.b[p.i] == end {
+		p.i++
+		return true, nil
+	}
+	return false, nil
+}
+
 func (p *parser) parseObject(depth int) (any, error) {
 	p.i++ // '{'
 	o := &jobj{vals: make(map[string]any)}
-	for {
-		p.skipWS()
+	for first := true; ; first = false {
+		if done, err := p.elem('}', first); done || err != nil {
+			return o, err
+		}
 		if p.i >= len(p.b) {
 			return nil, p.errf("unterminated object")
-		}
-		if p.b[p.i] == '}' {
-			p.i++
-			return o, nil
 		}
 		if p.b[p.i] != '"' {
 			return nil, p.errf("object key must be a string")
@@ -182,14 +208,9 @@ func (p *parser) parseObject(depth int) (any, error) {
 func (p *parser) parseArray(depth int) (any, error) {
 	p.i++ // '['
 	var a []any
-	for {
-		p.skipWS()
-		if p.i >= len(p.b) {
-			return nil, p.errf("unterminated array")
-		}
-		if p.b[p.i] == ']' {
-			p.i++
-			return a, nil
+	for first := true; ; first = false {
+		if done, err := p.elem(']', first); done || err != nil {
+			return a, err
 		}
 		v, err := p.parseValue(depth + 1)
 		if err != nil {
@@ -289,536 +310,151 @@ func (p *parser) parseNumber() (any, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed extraction: jobj → Scenario, with unknown-field errors by path.
+// Typed fill: jobj → Scenario, driven by the spec types' json struct tags.
 
-func checkKeys(o *jobj, path string, allowed ...string) error {
+// tagField is one field of a spec struct, at the same index.
+type tagField struct {
+	key      string
+	required bool       // `scenario:"required"`: the key must be present
+	fields   []tagField // of the struct the field holds, points to or lists
+}
+
+// scenarioFields is the field tree of Scenario. It is built at package
+// init, not lazily behind a sync.Once (the package may not import sync),
+// and only read afterwards.
+var scenarioFields = indexFields(reflect.TypeOf(Scenario{}))
+
+func indexFields(t reflect.Type) []tagField {
+	fs := make([]tagField, t.NumField())
+	for i := range fs {
+		f := t.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		fs[i] = tagField{key: key, required: f.Tag.Get("scenario") == "required"}
+		e := f.Type
+		for e.Kind() == reflect.Pointer || e.Kind() == reflect.Slice {
+			e = e.Elem()
+		}
+		if e.Kind() == reflect.Struct {
+			fs[i].fields = indexFields(e)
+		}
+	}
+	return fs
+}
+
+// fillError is a fill failure. Its path is prepended to as the error
+// unwinds, so a successful parse never builds one.
+type fillError struct {
+	path, msg string
+	inside    bool // msg is about the object at path ("path: msg"), not its value ("path msg")
+}
+
+func (e *fillError) at(seg string) *fillError {
+	if e.path != "" && e.path[0] != '[' {
+		seg += "."
+	}
+	e.path = seg + e.path
+	return e
+}
+
+func (e *fillError) Error() string {
+	switch {
+	case e.path == "":
+		return "scenario: " + e.msg
+	case e.inside:
+		return "scenario: " + e.path + ": " + e.msg
+	}
+	return "scenario: " + e.path + " " + e.msg
+}
+
+// fillStruct fills the struct v, whose fields are fs, from o. Every key of
+// o must be one of fs; fields are filled, and required ones checked, in
+// declaration order.
+func fillStruct(v reflect.Value, fs []tagField, o *jobj) *fillError {
 	for _, k := range o.keys {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("scenario: %s: unknown field %q", path, k)
+		if !slices.ContainsFunc(fs, func(f tagField) bool { return f.key == k }) {
+			return &fillError{msg: fmt.Sprintf("unknown field %q", k), inside: true}
 		}
 	}
-	return nil
-}
-
-func getString(o *jobj, path, key string) (string, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return "", false, nil
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", false, fmt.Errorf("scenario: %s.%s must be a string", path, key)
-	}
-	return s, true, nil
-}
-
-func getNum(o *jobj, path, key string) (float64, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return 0, false, nil
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, false, fmt.Errorf("scenario: %s.%s must be a number", path, key)
-	}
-	return f, true, nil
-}
-
-func getInt(o *jobj, path, key string) (int64, bool, error) {
-	f, ok, err := getNum(o, path, key)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	if f != math.Trunc(f) || math.Abs(f) > maxSeed {
-		return 0, false, fmt.Errorf("scenario: %s.%s must be an integer (got %g)", path, key, f)
-	}
-	return int64(f), true, nil
-}
-
-func getBool(o *jobj, path, key string) (bool, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return false, false, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, false, fmt.Errorf("scenario: %s.%s must be a bool", path, key)
-	}
-	return b, true, nil
-}
-
-func getObj(o *jobj, path, key string) (*jobj, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return nil, false, nil
-	}
-	c, ok := v.(*jobj)
-	if !ok {
-		return nil, false, fmt.Errorf("scenario: %s.%s must be an object", path, key)
-	}
-	return c, true, nil
-}
-
-func getArr(o *jobj, path, key string) ([]any, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return nil, false, nil
-	}
-	a, ok := v.([]any)
-	if !ok {
-		return nil, false, fmt.Errorf("scenario: %s.%s must be an array", path, key)
-	}
-	return a, true, nil
-}
-
-func fromJSON(o *jobj) (*Scenario, error) {
-	const path = "scenario"
-	if err := checkKeys(o, path, "name", "seed", "runtime_sec", "ramp_sec",
-		"cluster", "admission", "failure", "tenants"); err != nil {
-		return nil, err
-	}
-	sc := &Scenario{Seed: 1}
-	var err error
-	if sc.Name, _, err = getString(o, path, "name"); err != nil {
-		return nil, err
-	}
-	if v, ok, err := getInt(o, path, "seed"); err != nil {
-		return nil, err
-	} else if ok {
-		if v < 0 {
-			return nil, fmt.Errorf("scenario: seed must be non-negative")
-		}
-		sc.Seed = uint64(v)
-	}
-	if sc.RuntimeSec, _, err = getNum(o, path, "runtime_sec"); err != nil {
-		return nil, err
-	}
-	if sc.RampSec, _, err = getNum(o, path, "ramp_sec"); err != nil {
-		return nil, err
-	}
-	co, ok, err := getObj(o, path, "cluster")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("scenario: cluster section is required")
-	}
-	if err := clusterFromJSON(co, &sc.Cluster); err != nil {
-		return nil, err
-	}
-	if sc.Admission, _, err = getBool(o, path, "admission"); err != nil {
-		return nil, err
-	}
-	if fo, ok, err := getObj(o, path, "failure"); err != nil {
-		return nil, err
-	} else if ok {
-		sc.Failure = &FailureSpec{}
-		if err := failureFromJSON(fo, sc.Failure); err != nil {
-			return nil, err
-		}
-	}
-	ta, ok, err := getArr(o, path, "tenants")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("scenario: tenants section is required")
-	}
-	for i, tv := range ta {
-		to, ok := tv.(*jobj)
+	for i := range fs {
+		f := &fs[i]
+		j, ok := o.vals[f.key]
 		if !ok {
-			return nil, fmt.Errorf("scenario: tenants[%d] must be an object", i)
-		}
-		var t TenantSpec
-		if err := tenantFromJSON(to, i, &t); err != nil {
-			return nil, err
-		}
-		sc.Tenants = append(sc.Tenants, t)
-	}
-	return sc, nil
-}
-
-func clusterFromJSON(o *jobj, c *ClusterSpec) error {
-	const path = "cluster"
-	if err := checkKeys(o, path, "nodes", "osds_per_node", "ssds_per_osd",
-		"pgs", "replicas", "profile", "backend", "journal_mb",
-		"op_timeout_ms", "heartbeat_ms", "heartbeat_grace_ms"); err != nil {
-		return err
-	}
-	ints := []struct {
-		key string
-		dst *int
-	}{
-		{"nodes", &c.Nodes}, {"osds_per_node", &c.OSDsPerNode},
-		{"ssds_per_osd", &c.SSDsPerOSD}, {"pgs", &c.PGs},
-		{"replicas", &c.Replicas}, {"journal_mb", &c.JournalMB},
-	}
-	for _, f := range ints {
-		if v, ok, err := getInt(o, path, f.key); err != nil {
-			return err
-		} else if ok {
-			*f.dst = int(v)
-		}
-	}
-	var err error
-	if c.Profile, _, err = getString(o, path, "profile"); err != nil {
-		return err
-	}
-	if c.Backend, _, err = getString(o, path, "backend"); err != nil {
-		return err
-	}
-	if c.OpTimeoutMs, _, err = getNum(o, path, "op_timeout_ms"); err != nil {
-		return err
-	}
-	if c.HeartbeatMs, _, err = getNum(o, path, "heartbeat_ms"); err != nil {
-		return err
-	}
-	if c.HeartbeatGraceMs, _, err = getNum(o, path, "heartbeat_grace_ms"); err != nil {
-		return err
-	}
-	return nil
-}
-
-func failureFromJSON(o *jobj, f *FailureSpec) error {
-	const path = "failure"
-	if err := checkKeys(o, path, "osd", "at_sec", "recover_at_sec"); err != nil {
-		return err
-	}
-	if v, ok, err := getInt(o, path, "osd"); err != nil {
-		return err
-	} else if ok {
-		f.OSD = int(v)
-	}
-	var err error
-	if f.AtSec, _, err = getNum(o, path, "at_sec"); err != nil {
-		return err
-	}
-	if f.RecoverAtSec, _, err = getNum(o, path, "recover_at_sec"); err != nil {
-		return err
-	}
-	return nil
-}
-
-func tenantFromJSON(o *jobj, idx int, t *TenantSpec) error {
-	path := fmt.Sprintf("tenants[%d]", idx)
-	if err := checkKeys(o, path, "name", "slo_class", "clients", "image_mb",
-		"in_flight", "arrival", "mix", "diurnal", "burst", "admission"); err != nil {
-		return err
-	}
-	var err error
-	if t.Name, _, err = getString(o, path, "name"); err != nil {
-		return err
-	}
-	if t.Class, _, err = getString(o, path, "slo_class"); err != nil {
-		return err
-	}
-	if v, ok, err := getInt(o, path, "clients"); err != nil {
-		return err
-	} else if ok {
-		t.Clients = int(v)
-	}
-	if v, ok, err := getInt(o, path, "image_mb"); err != nil {
-		return err
-	} else if ok {
-		t.ImageMB = int(v)
-	}
-	if v, ok, err := getInt(o, path, "in_flight"); err != nil {
-		return err
-	} else if ok {
-		t.InFlight = int(v)
-	}
-	ao, ok, err := getObj(o, path, "arrival")
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("scenario: %s: arrival section is required", path)
-	}
-	apath := path + ".arrival"
-	if err := checkKeys(ao, apath, "process", "rate_ops_sec", "cv"); err != nil {
-		return err
-	}
-	if t.Arrival.Process, _, err = getString(ao, apath, "process"); err != nil {
-		return err
-	}
-	if t.Arrival.RateOpsSec, _, err = getNum(ao, apath, "rate_ops_sec"); err != nil {
-		return err
-	}
-	if t.Arrival.CV, _, err = getNum(ao, apath, "cv"); err != nil {
-		return err
-	}
-	if mo, ok, err := getObj(o, path, "mix"); err != nil {
-		return err
-	} else if ok {
-		if err := mixFromJSON(mo, path+".mix", &t.Mix); err != nil {
-			return err
-		}
-	}
-	if do, ok, err := getObj(o, path, "diurnal"); err != nil {
-		return err
-	} else if ok {
-		dpath := path + ".diurnal"
-		if err := checkKeys(do, dpath, "period_sec", "amplitude"); err != nil {
-			return err
-		}
-		d := &DiurnalSpec{}
-		if d.PeriodSec, _, err = getNum(do, dpath, "period_sec"); err != nil {
-			return err
-		}
-		if d.Amplitude, _, err = getNum(do, dpath, "amplitude"); err != nil {
-			return err
-		}
-		t.Diurnal = d
-	}
-	if bo, ok, err := getObj(o, path, "burst"); err != nil {
-		return err
-	} else if ok {
-		bpath := path + ".burst"
-		if err := checkKeys(bo, bpath, "at_sec", "duration_sec", "multiplier"); err != nil {
-			return err
-		}
-		b := &BurstSpec{}
-		if b.AtSec, _, err = getNum(bo, bpath, "at_sec"); err != nil {
-			return err
-		}
-		if b.DurationSec, _, err = getNum(bo, bpath, "duration_sec"); err != nil {
-			return err
-		}
-		if b.Multiplier, _, err = getNum(bo, bpath, "multiplier"); err != nil {
-			return err
-		}
-		t.Burst = b
-	}
-	if ado, ok, err := getObj(o, path, "admission"); err != nil {
-		return err
-	} else if ok {
-		adpath := path + ".admission"
-		if err := checkKeys(ado, adpath, "rate_ops_sec", "burst"); err != nil {
-			return err
-		}
-		ad := &ThrottleSpec{}
-		if ad.OpsPerSec, _, err = getNum(ado, adpath, "rate_ops_sec"); err != nil {
-			return err
-		}
-		if ad.Burst, _, err = getNum(ado, adpath, "burst"); err != nil {
-			return err
-		}
-		t.Admission = ad
-	}
-	return nil
-}
-
-func mixFromJSON(o *jobj, path string, m *MixSpec) error {
-	if err := checkKeys(o, path, "read_pct", "pattern", "sizes"); err != nil {
-		return err
-	}
-	if v, ok, err := getInt(o, path, "read_pct"); err != nil {
-		return err
-	} else if ok {
-		m.ReadPct = int(v)
-	}
-	var err error
-	if m.Pattern, _, err = getString(o, path, "pattern"); err != nil {
-		return err
-	}
-	sa, ok, err := getArr(o, path, "sizes")
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	for i, sv := range sa {
-		so, ok := sv.(*jobj)
-		if !ok {
-			return fmt.Errorf("scenario: %s.sizes[%d] must be an object", path, i)
-		}
-		spath := fmt.Sprintf("%s.sizes[%d]", path, i)
-		if err := checkKeys(so, spath, "bytes", "weight"); err != nil {
-			return err
-		}
-		var sw SizeWeight
-		if v, ok, err := getInt(so, spath, "bytes"); err != nil {
-			return err
-		} else if ok {
-			sw.Bytes = v
-		}
-		if sw.Weight, _, err = getNum(so, spath, "weight"); err != nil {
-			return err
-		}
-		if sw.Weight == 0 {
-			sw.Weight = 1
-		}
-		m.Sizes = append(m.Sizes, sw)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Canonical encoder. Encode(Parse(Encode(sc))) == Encode(sc) for every valid
-// scenario: fields are emitted in a fixed order, zero-valued optionals are
-// omitted, and numbers use the shortest round-trippable form. The fuzz
-// harness leans on this fixed point.
-
-// Encode renders the scenario in canonical form.
-func Encode(sc *Scenario) []byte {
-	var b strings.Builder
-	b.WriteString("{\n")
-	fmt.Fprintf(&b, "  \"name\": %s,\n", quote(sc.Name))
-	fmt.Fprintf(&b, "  \"seed\": %d,\n", sc.Seed)
-	fmt.Fprintf(&b, "  \"runtime_sec\": %s,\n", num(sc.RuntimeSec))
-	if sc.RampSec != 0 {
-		fmt.Fprintf(&b, "  \"ramp_sec\": %s,\n", num(sc.RampSec))
-	}
-	encodeCluster(&b, &sc.Cluster)
-	if sc.Admission {
-		b.WriteString("  \"admission\": true,\n")
-	}
-	if f := sc.Failure; f != nil {
-		fmt.Fprintf(&b, "  \"failure\": {\"osd\": %d, \"at_sec\": %s, \"recover_at_sec\": %s},\n",
-			f.OSD, num(f.AtSec), num(f.RecoverAtSec))
-	}
-	b.WriteString("  \"tenants\": [\n")
-	for i := range sc.Tenants {
-		encodeTenant(&b, &sc.Tenants[i], i == len(sc.Tenants)-1)
-	}
-	b.WriteString("  ]\n}\n")
-	return []byte(b.String())
-}
-
-func encodeCluster(b *strings.Builder, c *ClusterSpec) {
-	b.WriteString("  \"cluster\": {")
-	fmt.Fprintf(b, "\"nodes\": %d, \"osds_per_node\": %d", c.Nodes, c.OSDsPerNode)
-	if c.SSDsPerOSD != 0 {
-		fmt.Fprintf(b, ", \"ssds_per_osd\": %d", c.SSDsPerOSD)
-	}
-	if c.PGs != 0 {
-		fmt.Fprintf(b, ", \"pgs\": %d", c.PGs)
-	}
-	if c.Replicas != 0 {
-		fmt.Fprintf(b, ", \"replicas\": %d", c.Replicas)
-	}
-	if c.Profile != "" {
-		fmt.Fprintf(b, ", \"profile\": %s", quote(c.Profile))
-	}
-	if c.Backend != "" {
-		fmt.Fprintf(b, ", \"backend\": %s", quote(c.Backend))
-	}
-	if c.JournalMB != 0 {
-		fmt.Fprintf(b, ", \"journal_mb\": %d", c.JournalMB)
-	}
-	if c.OpTimeoutMs != 0 {
-		fmt.Fprintf(b, ", \"op_timeout_ms\": %s", num(c.OpTimeoutMs))
-	}
-	if c.HeartbeatMs != 0 {
-		fmt.Fprintf(b, ", \"heartbeat_ms\": %s", num(c.HeartbeatMs))
-	}
-	if c.HeartbeatGraceMs != 0 {
-		fmt.Fprintf(b, ", \"heartbeat_grace_ms\": %s", num(c.HeartbeatGraceMs))
-	}
-	b.WriteString("},\n")
-}
-
-func encodeTenant(b *strings.Builder, t *TenantSpec, last bool) {
-	b.WriteString("    {\n")
-	fmt.Fprintf(b, "      \"name\": %s,\n", quote(t.Name))
-	if t.Class != "" {
-		fmt.Fprintf(b, "      \"slo_class\": %s,\n", quote(t.Class))
-	}
-	fmt.Fprintf(b, "      \"clients\": %d,\n", t.Clients)
-	if t.ImageMB != 0 {
-		fmt.Fprintf(b, "      \"image_mb\": %d,\n", t.ImageMB)
-	}
-	if t.InFlight != 0 {
-		fmt.Fprintf(b, "      \"in_flight\": %d,\n", t.InFlight)
-	}
-	fmt.Fprintf(b, "      \"arrival\": {\"process\": %s, \"rate_ops_sec\": %s", quote(t.Arrival.Process), num(t.Arrival.RateOpsSec))
-	if t.Arrival.CV != 0 {
-		fmt.Fprintf(b, ", \"cv\": %s", num(t.Arrival.CV))
-	}
-	b.WriteString("},\n")
-	encodeMix(b, &t.Mix)
-	if d := t.Diurnal; d != nil {
-		fmt.Fprintf(b, "      \"diurnal\": {\"period_sec\": %s, \"amplitude\": %s},\n", num(d.PeriodSec), num(d.Amplitude))
-	}
-	if bu := t.Burst; bu != nil {
-		fmt.Fprintf(b, "      \"burst\": {\"at_sec\": %s, \"duration_sec\": %s, \"multiplier\": %s},\n", num(bu.AtSec), num(bu.DurationSec), num(bu.Multiplier))
-	}
-	if ad := t.Admission; ad != nil {
-		fmt.Fprintf(b, "      \"admission\": {\"rate_ops_sec\": %s", num(ad.OpsPerSec))
-		if ad.Burst != 0 {
-			fmt.Fprintf(b, ", \"burst\": %s", num(ad.Burst))
-		}
-		b.WriteString("},\n")
-	}
-	if last {
-		b.WriteString("    }\n")
-	} else {
-		b.WriteString("    },\n")
-	}
-}
-
-func encodeMix(b *strings.Builder, m *MixSpec) {
-	if m.ReadPct == 0 && m.Pattern == "" && len(m.Sizes) == 0 {
-		return
-	}
-	b.WriteString("      \"mix\": {")
-	sep := ""
-	if m.ReadPct != 0 {
-		fmt.Fprintf(b, "\"read_pct\": %d", m.ReadPct)
-		sep = ", "
-	}
-	if m.Pattern != "" {
-		fmt.Fprintf(b, "%s\"pattern\": %s", sep, quote(m.Pattern))
-		sep = ", "
-	}
-	if len(m.Sizes) != 0 {
-		fmt.Fprintf(b, "%s\"sizes\": [", sep)
-		for i, s := range m.Sizes {
-			if i > 0 {
-				b.WriteString(", ")
+			if f.required {
+				return &fillError{msg: f.key + " section is required", inside: true}
 			}
-			fmt.Fprintf(b, "{\"bytes\": %d, \"weight\": %s}", s.Bytes, num(s.Weight))
+			continue
 		}
-		b.WriteString("]")
+		if err := fill(v.Field(i), f.fields, j); err != nil {
+			return err.at(f.key)
+		}
 	}
-	b.WriteString("},\n")
+	return nil
 }
 
-func num(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-func quote(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
+// fill sets v from the parsed JSON value j; fs are the fields of the
+// struct v holds, points to or lists. Integer fields take any number that
+// is integral and within ±2^53; unsigned ones must also be non-negative.
+func fill(v reflect.Value, fs []tagField, j any) *fillError {
+	switch v.Kind() {
+	case reflect.String:
+		s, ok := j.(string)
+		if !ok {
+			return &fillError{msg: "must be a string"}
+		}
+		v.SetString(s)
+	case reflect.Bool:
+		b, ok := j.(bool)
+		if !ok {
+			return &fillError{msg: "must be a bool"}
+		}
+		v.SetBool(b)
+	case reflect.Float64, reflect.Int, reflect.Int64, reflect.Uint64:
+		f, ok := j.(float64)
+		if !ok {
+			return &fillError{msg: "must be a number"}
+		}
+		switch k := v.Kind(); {
+		case k == reflect.Float64:
+			v.SetFloat(f)
+		case f != math.Trunc(f) || math.Abs(f) > maxSeed:
+			return &fillError{msg: fmt.Sprintf("must be an integer (got %g)", f)}
+		case k == reflect.Uint64:
+			if f < 0 {
+				return &fillError{msg: "must be non-negative"}
+			}
+			v.SetUint(uint64(f))
 		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
+			v.SetInt(int64(f))
+		}
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		if err := fill(p.Elem(), fs, j); err != nil {
+			return err
+		}
+		v.Set(p)
+	case reflect.Slice:
+		a, ok := j.([]any)
+		if !ok {
+			return &fillError{msg: "must be an array"}
+		}
+		if len(a) == 0 { // an empty list decodes like an absent one: nil
+			return nil
+		}
+		s := reflect.MakeSlice(v.Type(), len(a), len(a))
+		for i, e := range a {
+			if err := fill(s.Index(i), fs, e); err != nil {
+				return err.at("[" + strconv.Itoa(i) + "]")
 			}
 		}
+		v.Set(s)
+	case reflect.Struct:
+		o, ok := j.(*jobj)
+		if !ok {
+			return &fillError{msg: "must be an object"}
+		}
+		return fillStruct(v, fs, o)
+	default:
+		panic("scenario: no fill for field kind " + v.Kind().String())
 	}
-	b.WriteByte('"')
-	return b.String()
+	return nil
 }

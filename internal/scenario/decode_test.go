@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -79,6 +81,10 @@ func TestParseErrors(t *testing.T) {
 		{"huge-number", `{"name": "x", "seed": 1e300}`, "must be an integer"},
 		{"bad-escape", `{"name": "\q"}`, "invalid escape"},
 		{"deep-nest", `{"a": ` + strings.Repeat(`[`, 100) + strings.Repeat(`]`, 100) + `}`, "nesting deeper"},
+		{"no-commas", `{"name": "x" "runtime_sec": 1 "cluster": {"nodes": 1 "osds_per_node": 1} "tenants": [{"name": "a" "clients": 1 "arrival": {"process": "poisson" "rate_ops_sec": 5}}]}`, "expected ','"},
+		{"leading-commas", `{,,"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 1}, "tenants": [{"name": "a", "clients": 1, "arrival": {"process": "poisson", "rate_ops_sec": 5}}]}`, "object key must be a string"},
+		{"leading-comma-array", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 1}, "tenants": [,{"name": "a", "clients": 1, "arrival": {"process": "poisson", "rate_ops_sec": 5}}]}`, "unexpected character ','"},
+		{"case-folded-key", `{"NAME": "x"}`, `unknown field "NAME"`},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.in))
@@ -91,7 +97,62 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestEncodeFixedPoint: parse→encode→parse is a fixed point for every
+// TestParseAllKeys sets every key of the format once and compares the
+// result field by field, so a misspelt struct tag fails here even where
+// no canonical scenario uses the key.
+func TestParseAllKeys(t *testing.T) {
+	sc, err := Parse([]byte(`{
+		"name": "all", "seed": 9, "runtime_sec": 2, "ramp_sec": 0.5,
+		"cluster": {"nodes": 2, "osds_per_node": 2, "ssds_per_osd": 1, "pgs": 64,
+			"replicas": 2, "profile": "afceph", "backend": "directstore", "journal_mb": 32,
+			"op_timeout_ms": 200, "heartbeat_ms": 50, "heartbeat_grace_ms": 150},
+		"admission": true,
+		"failure": {"osd": 1, "at_sec": 1, "recover_at_sec": 2},
+		"tenants": [{
+			"name": "t", "slo_class": "gold", "clients": 3, "image_mb": 16, "in_flight": 4,
+			"arrival": {"process": "gamma", "rate_ops_sec": 100, "cv": 2},
+			"mix": {"read_pct": 70, "pattern": "seq", "sizes": [{"bytes": 4096, "weight": 3}, {"bytes": 8192}]},
+			"diurnal": {"period_sec": 10, "amplitude": 0.5},
+			"burst": {"at_sec": 1, "duration_sec": 0.5, "multiplier": 4},
+			"admission": {"rate_ops_sec": 80, "burst": 8}
+		}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Scenario{
+		Name: "all", Seed: 9, RuntimeSec: 2, RampSec: 0.5,
+		Cluster: ClusterSpec{Nodes: 2, OSDsPerNode: 2, SSDsPerOSD: 1, PGs: 64,
+			Replicas: 2, Profile: "afceph", Backend: "directstore", JournalMB: 32,
+			OpTimeoutMs: 200, HeartbeatMs: 50, HeartbeatGraceMs: 150},
+		Admission: true,
+		Failure:   &FailureSpec{OSD: 1, AtSec: 1, RecoverAtSec: 2},
+		Tenants: []TenantSpec{{
+			Name: "t", Class: "gold", Clients: 3, ImageMB: 16, InFlight: 4,
+			Arrival:   ArrivalSpec{Process: ProcGamma, RateOpsSec: 100, CV: 2},
+			Mix:       MixSpec{ReadPct: 70, Pattern: "seq", Sizes: []SizeWeight{{Bytes: 4096, Weight: 3}, {Bytes: 8192, Weight: 1}}},
+			Diurnal:   &DiurnalSpec{PeriodSec: 10, Amplitude: 0.5},
+			Burst:     &BurstSpec{AtSec: 1, DurationSec: 0.5, Multiplier: 4},
+			Admission: &ThrottleSpec{OpsPerSec: 80, Burst: 8},
+		}},
+	}
+	if !reflect.DeepEqual(sc, want) {
+		t.Fatalf("parsed\n%+v\nwant\n%+v", sc, want)
+	}
+}
+
+// marshal renders sc with encoding/json; the struct tags make its output a
+// scenario file that Parse reads back.
+func marshal(t testing.TB, sc *Scenario) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(sc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestEncodeFixedPoint: parse→marshal→parse is a fixed point for every
 // canonical scenario — the property the fuzz harness extends to the whole
 // valid input space.
 func TestEncodeFixedPoint(t *testing.T) {
@@ -100,14 +161,14 @@ func TestEncodeFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e1 := Encode(sc)
+		e1 := marshal(t, sc)
 		sc2, err := Parse(e1)
 		if err != nil {
-			t.Fatalf("%s: reparse of canonical encoding: %v\n%s", name, err, e1)
+			t.Fatalf("%s: reparse of marshalled scenario: %v\n%s", name, err, e1)
 		}
-		e2 := Encode(sc2)
+		e2 := marshal(t, sc2)
 		if !bytes.Equal(e1, e2) {
-			t.Fatalf("%s: encode is not a fixed point:\n--- first\n%s\n--- second\n%s", name, e1, e2)
+			t.Fatalf("%s: marshal is not a fixed point:\n--- first\n%s\n--- second\n%s", name, e1, e2)
 		}
 	}
 }
@@ -118,7 +179,7 @@ func TestEncodeEscaping(t *testing.T) {
 		Cluster: ClusterSpec{Nodes: 1, OSDsPerNode: 1},
 		Tenants: []TenantSpec{{Name: "t", Clients: 1, Arrival: ArrivalSpec{Process: ProcPoisson, RateOpsSec: 5}}},
 	}
-	e1 := Encode(sc)
+	e1 := marshal(t, sc)
 	sc2, err := Parse(e1)
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, e1)
@@ -126,7 +187,7 @@ func TestEncodeEscaping(t *testing.T) {
 	if sc2.Name != sc.Name {
 		t.Fatalf("name round trip: %q != %q", sc2.Name, sc.Name)
 	}
-	if !bytes.Equal(e1, Encode(sc2)) {
-		t.Fatal("escaped encode is not a fixed point")
+	if !bytes.Equal(e1, marshal(t, sc2)) {
+		t.Fatal("escaped marshal is not a fixed point")
 	}
 }

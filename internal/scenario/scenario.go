@@ -1,11 +1,12 @@
 // Package scenario is the declarative multi-tenant workload engine: a
-// JSON scenario file (hand-rolled, dependency-free decoder — see decode.go)
-// describes N tenants × M clients with Poisson/Gamma/Weibull interarrival
-// processes, size/read mixes, diurnal ramps and burst storms, plus SLO
-// classes and per-tenant token-bucket admission limits. The engine compiles
-// it into deterministic open-loop generators over a simulated cluster and
-// reports per-tenant / per-SLO-class latency, throughput, admission
-// decisions and a Jain fairness index.
+// JSON scenario file (a strict tokenizer, then a fill driven by the spec
+// types' json struct tags — see decode.go) describes N tenants × M clients
+// with Poisson/Gamma/Weibull interarrival processes, size/read mixes,
+// diurnal ramps and burst storms, plus SLO classes and per-tenant
+// token-bucket admission limits. The engine compiles it into deterministic
+// open-loop generators over a simulated cluster and reports per-tenant /
+// per-SLO-class latency, throughput, admission decisions and a Jain
+// fairness index.
 //
 // Everything is deterministic: the same scenario and seed produce
 // bit-identical results under any host parallelism (the differential
@@ -35,50 +36,50 @@ const (
 
 // Scenario is one complete experiment description.
 type Scenario struct {
-	Name       string
-	Seed       uint64
-	RuntimeSec float64 // measured window (after ramp)
-	RampSec    float64 // warm-up, excluded from measurement
-	Cluster    ClusterSpec
+	Name       string      `json:"name"`
+	Seed       uint64      `json:"seed"`
+	RuntimeSec float64     `json:"runtime_sec"`        // measured window (after ramp)
+	RampSec    float64     `json:"ramp_sec,omitempty"` // warm-up, excluded from measurement
+	Cluster    ClusterSpec `json:"cluster" scenario:"required"`
 	// Admission turns per-tenant token-bucket admission control on; the
 	// limits themselves live on each tenant (Tenant.Admission).
-	Admission bool
-	Failure   *FailureSpec
-	Tenants   []TenantSpec
+	Admission bool         `json:"admission,omitempty"`
+	Failure   *FailureSpec `json:"failure,omitempty"`
+	Tenants   []TenantSpec `json:"tenants" scenario:"required"`
 }
 
 // ClusterSpec shapes the simulated cluster under the tenants.
 type ClusterSpec struct {
-	Nodes       int
-	OSDsPerNode int
-	SSDsPerOSD  int // default 2
-	PGs         int // default 256
-	Replicas    int // default 2
-	Profile     string
-	Backend     string // "" (profile default) | "filestore" | "directstore"
-	JournalMB   int    // default 64
+	Nodes       int    `json:"nodes"`
+	OSDsPerNode int    `json:"osds_per_node"`
+	SSDsPerOSD  int    `json:"ssds_per_osd,omitempty"` // default 2
+	PGs         int    `json:"pgs,omitempty"`          // default 256
+	Replicas    int    `json:"replicas,omitempty"`     // default 2
+	Profile     string `json:"profile,omitempty"`
+	Backend     string `json:"backend,omitempty"`    // "" (profile default) | "filestore" | "directstore"
+	JournalMB   int    `json:"journal_mb,omitempty"` // default 64
 	// Robustness knobs, required when Failure is set.
-	OpTimeoutMs      float64
-	HeartbeatMs      float64
-	HeartbeatGraceMs float64
+	OpTimeoutMs      float64 `json:"op_timeout_ms,omitempty"`
+	HeartbeatMs      float64 `json:"heartbeat_ms,omitempty"`
+	HeartbeatGraceMs float64 `json:"heartbeat_grace_ms,omitempty"`
 }
 
 // TenantSpec is one tenant: a fleet of identical clients with an arrival
 // process, an op mix, optional rate modulation and an optional admission
 // limit.
 type TenantSpec struct {
-	Name    string
-	Class   string // SLO class; default "standard"
-	Clients int
-	ImageMB int // per-client image; default 64
+	Name    string `json:"name"`
+	Class   string `json:"slo_class,omitempty"` // SLO class; default "standard"
+	Clients int    `json:"clients"`
+	ImageMB int    `json:"image_mb,omitempty"` // per-client image; default 64
 	// InFlight is the per-client service concurrency (worker slots draining
 	// the arrival queue); default 8.
-	InFlight  int
-	Arrival   ArrivalSpec
-	Mix       MixSpec
-	Diurnal   *DiurnalSpec
-	Burst     *BurstSpec
-	Admission *ThrottleSpec
+	InFlight  int           `json:"in_flight,omitempty"`
+	Arrival   ArrivalSpec   `json:"arrival" scenario:"required"`
+	Mix       MixSpec       `json:"mix"`
+	Diurnal   *DiurnalSpec  `json:"diurnal,omitempty"`
+	Burst     *BurstSpec    `json:"burst,omitempty"`
+	Admission *ThrottleSpec `json:"admission,omitempty"`
 }
 
 // Arrival process names.
@@ -92,53 +93,53 @@ const (
 // the mean arrival rate of ONE client; CV is the coefficient of variation
 // of the interarrival time (gamma/weibull only — poisson is fixed at 1).
 type ArrivalSpec struct {
-	Process    string
-	RateOpsSec float64
-	CV         float64 // default 1
+	Process    string  `json:"process"`
+	RateOpsSec float64 `json:"rate_ops_sec"`
+	CV         float64 `json:"cv,omitempty"` // default 1
 }
 
 // MixSpec is the op mix: read percentage, offset pattern, and a weighted
 // size distribution.
 type MixSpec struct {
-	ReadPct int
-	Pattern string // "rand" (default) | "seq"
-	Sizes   []SizeWeight
+	ReadPct int          `json:"read_pct,omitempty"`
+	Pattern string       `json:"pattern,omitempty"` // "rand" (default) | "seq"
+	Sizes   []SizeWeight `json:"sizes,omitempty"`
 }
 
 // SizeWeight is one entry of the size distribution.
 type SizeWeight struct {
-	Bytes  int64
-	Weight float64
+	Bytes  int64   `json:"bytes"`
+	Weight float64 `json:"weight"`
 }
 
 // DiurnalSpec modulates the arrival rate sinusoidally:
 // rate(t) = base · (1 + Amplitude·sin(2πt/Period)), t measured from the
 // start of the run.
 type DiurnalSpec struct {
-	PeriodSec float64
-	Amplitude float64 // in [0, 0.95]
+	PeriodSec float64 `json:"period_sec"`
+	Amplitude float64 `json:"amplitude"` // in [0, 0.95]
 }
 
 // BurstSpec is a storm: between AtSec and AtSec+DurationSec (scenario
 // time), the tenant's arrival rate is multiplied by Multiplier.
 type BurstSpec struct {
-	AtSec       float64
-	DurationSec float64
-	Multiplier  float64
+	AtSec       float64 `json:"at_sec"`
+	DurationSec float64 `json:"duration_sec"`
+	Multiplier  float64 `json:"multiplier"`
 }
 
 // ThrottleSpec is a tenant's cluster-wide admission limit.
 type ThrottleSpec struct {
-	OpsPerSec float64
-	Burst     float64 // tokens; 0 = OpsPerSec/10 default
+	OpsPerSec float64 `json:"rate_ops_sec"`
+	Burst     float64 `json:"burst,omitempty"` // tokens; 0 = OpsPerSec/10 default
 }
 
 // FailureSpec crashes one OSD mid-run and restarts+recovers it later —
 // failover under load.
 type FailureSpec struct {
-	OSD          int
-	AtSec        float64
-	RecoverAtSec float64
+	OSD          int     `json:"osd"`
+	AtSec        float64 `json:"at_sec"`
+	RecoverAtSec float64 `json:"recover_at_sec"`
 }
 
 // Validate checks the scenario and returns a descriptive error for the

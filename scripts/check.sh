@@ -12,6 +12,8 @@
 #              scale, the heavy engine packages (osd, core, cluster, qa,
 #              figures, scenario) in -short mode — their suites are deterministic by
 #              construction but too slow under -race at full scale
+#   fuzz       10s bounded fuzz of the scenario tokenizer and tag-driven
+#              decoder (FuzzScenarioParse: no panic, marshal fixed point)
 #   bench      one-iteration smoke over every benchmark (compile + run,
 #              no timing gate; scripts/bench.sh owns the regression gate)
 #
@@ -82,6 +84,9 @@ echo "== go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
 run_race
+
+echo "== go test -fuzz FuzzScenarioParse -fuzztime 10s"
+go test -run '^$' -fuzz FuzzScenarioParse -fuzztime 10s ./internal/scenario/
 
 echo "== go test -bench=. -benchtime=1x (smoke)"
 go test -run '^$' -bench=. -benchtime=1x ./... >/dev/null
